@@ -113,7 +113,7 @@ FLOORS = {
     "min_repair_speedup": 2.0,
     "plan_cache_speedup": 2.0,
     "gf16_kernel_speedup": 2.0,
-    # Acceptance bar for the XOR-schedule tier: >= 1.5x over the table
+    # Acceptance bar for the XOR-rows tier: >= 1.5x over the table
     # kernel on a GF(2^8) encode shape (measured ~6x; repair ~20x).
     "xor_encode_speedup": 1.5,
     "xor_repair_speedup": 2.0,

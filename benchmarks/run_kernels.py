@@ -3,7 +3,7 @@
 Runs the kernel experiments from :mod:`repro.bench.experiments` —
 encode/decode/reconstruct throughput, plan-cache cold/warm reconstruction,
 the GF(2^16) packed-kernel-vs-log/antilog comparison, and the
-XOR-schedule-tier-vs-table comparison — and appends one run record to
+XOR-rows-tier-vs-table comparison — and appends one run record to
 ``BENCH_kernels.json`` at the repository root, keeping the history so the
 numbers can be tracked across commits.
 
@@ -24,7 +24,7 @@ Headline fields (also printed):
   fallback on the dense GF(2^16) parity kernel (no unit coefficients).
 * ``gf16_encode_speedup`` — the same comparison end-to-end for a full
   rs(6, 4) encode, where both sides get systematic rows nearly free.
-* ``xor_encode_speedup`` — the XOR-schedule tier vs the packed tables on
+* ``xor_encode_speedup`` — the XOR-rows tier vs the packed tables on
   the rs(10, 1) GF(2^8) encode (single parity: an all-ones XOR row).
 * ``xor_repair_speedup`` — the same comparison for the Galloper local
   repair plan (0/1 reconstruction coefficients).
@@ -174,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     for row in record["xor_schedule"]["rows"]:
         print(
             f"  {row['shape']:>28} {row['field']:>9}: auto={row['auto']:<11} "
-            f"xor {row['speedup']:5.2f}x (xors {row['raw_xors']} -> {row['xors']})"
+            f"xor {row['speedup']:5.2f}x"
         )
     for row in record["kernel_throughput"]["rows"]:
         print(

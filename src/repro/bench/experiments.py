@@ -907,31 +907,22 @@ def gf16_kernel_speedup(
 
 
 def xor_schedule_speedup(block_bytes: int = 1 * MB, repeats: int = 7) -> Table:
-    """XOR-schedule tier vs the packed table kernel, across plan shapes.
+    """XOR-rows tier vs the packed table kernel, across plan shapes.
 
     Each row times the same coding product with ``kernel="xor"`` and
     ``kernel="table"`` forced (interleaved best-of), asserting the two
     tiers byte-identical against each other and the seed reference
-    inside the run.  The ``auto`` column reports what the unforced
-    heuristic picks for that shape — ``xor`` for the XOR-heavy plans the
-    tier exists for (single-parity encode, Pyramid/Galloper local
-    repair, whose coefficients are 0/1 or all-ones), ``packed-*`` for
-    dense Cauchy matrices where the honest answer is that the schedule
-    loses and the fallback is correct.
+    inside the run.  The ``auto`` column reports what the unforced plan
+    runs — the XOR rows for the 0/1 plans the tier exists for
+    (single-parity encode, Pyramid/Galloper local repair), ``packed-*``
+    / ``native`` for dense Cauchy matrices, where a forced ``xor`` falls
+    back to the tables too (speedup ~1).
     """
-    from repro.gf import (
-        GF65536,
-        XorSchedule,
-        bitmatrix_density,
-        mat_data_product_reference,
-    )
+    from repro.gf import GF65536, mat_data_product_reference
 
     table = Table(
-        title="XOR-schedule tier vs packed tables",
-        columns=(
-            "shape", "field", "auto", "density", "xors", "raw_xors",
-            "table_s", "xor_s", "speedup",
-        ),
+        title="XOR-rows tier vs packed tables",
+        columns=("shape", "field", "auto", "table_s", "xor_s", "speedup"),
     )
 
     def contest(shape: str, gf, coeffs, data) -> None:
@@ -950,14 +941,10 @@ def xor_schedule_speedup(block_bytes: int = 1 * MB, repeats: int = 7) -> Table:
             lambda: tab.apply(data, out=out_t),
             repeats,
         )
-        stats = XorSchedule.compile(gf, coeffs).stats
         table.add(
             shape=shape,
             field=f"GF(2^{gf.q})",
             auto=auto.kernel,
-            density=round(bitmatrix_density(gf, coeffs), 4),
-            xors=stats["xors"],
-            raw_xors=stats["raw_xors"],
             table_s=tab_t,
             xor_s=xor_t,
             speedup=tab_t / xor_t,
@@ -978,8 +965,8 @@ def xor_schedule_speedup(block_bytes: int = 1 * MB, repeats: int = 7) -> Table:
     pyr_data = random_symbols(pyr.gf, (p_repair.n, block_bytes // pyr.N), seed=47)
     contest("pyramid(4,2,1) local repair", pyr.gf, p_repair.coeffs, pyr_data)
 
-    # Honest dense row: a Cauchy generator's companion expansion is ~half
-    # ones, so the schedule loses and auto must stay on the tables.
+    # Honest dense row: a Cauchy generator is not 0/1, so a forced xor
+    # runs the tables and auto stays on them.
     contest(
         "galloper(4,2,1) encode", gal.gf, gal.generator,
         _data_for(gal, block_bytes, seed=53),
@@ -1003,7 +990,8 @@ def wide_stripe_throughput(
     The regime the native tier exists for — "Making Wide Stripes
     Practical" -style codes where the per-(coefficient, data row) gather
     cost dominates encode.  Each row times a full RS(k, r) GF(2^8)
-    encode through three forced plans (``table``, ``xor``, ``native``,
+    encode through three forced plans (``table``, ``xor`` — which falls
+    back to the tables on this non-0/1 generator — and ``native``,
     byte-equality asserted against the seed reference inside the run)
     and reports the native tier's absolute GB/s of original payload plus
     its speedup over whichever numpy tier won.  On a host with no C

@@ -33,13 +33,13 @@ Tables are built lazily on the first large apply; short products (matrix
 inversion, generator construction) use a direct log/antilog path so
 compiling a plan for a one-shot small product costs nothing.
 
-A third tier sits above the tables: coefficient matrices whose GF(2)
-companion expansion is sparse (XOR parities, 0/1 reconstruction
-matrices) compile to an :class:`repro.gf.schedule.XorSchedule` — pure
-word-wide XOR passes with common-subexpression elimination — selected
-automatically per plan shape by a measured cost model, or forced via
-``CodingPlan(..., kernel=...)`` / the ``REPRO_KERNEL`` env knob (see
-:data:`KERNEL_CHOICES`).
+Coefficient matrices whose dense rows hold only 0s and 1s (XOR parities,
+the local-repair plans of Pyramid and Galloper codes) need no tables at
+all: each output row is the XOR of its data rows.  ``CodingPlan`` reads
+that off the matrix at construction and runs the XOR-rows path (numpy
+label ``xor``, or ``native-xor`` inside the native gather); the
+``REPRO_KERNEL`` env knob / ``CodingPlan(..., kernel=...)`` override
+forces a tier (see :data:`KERNEL_CHOICES`).
 
 :class:`CodingPlan` packages the compiled tables for a fixed coefficient
 matrix; :func:`mat_data_product` is the one-shot convenience on top of it.
@@ -53,14 +53,14 @@ from time import perf_counter
 import numpy as np
 
 from repro.gf.field import GF, GFError
-from repro.gf.schedule import XorSchedule, predicted_win
 from repro.obs.profile import get_profiler
 from repro.obs.trace import get_tracer
 
 #: Scratch budget for one gather chunk, in 64-bit words (~1.5 MiB).  The
 #: chunk length is this budget divided among the accumulator rows, the
 #: index vector and the gather target, sized so all three stay cache-hot
-#: across the inner data-row loop.
+#: across the inner data-row loop.  The native gather splits the same
+#: budget among its output rows and the streaming data row.
 GATHER_CHUNK_WORDS = 3 << 16
 
 #: Stripe widths below this use the direct log/antilog path instead of
@@ -72,15 +72,15 @@ SMALL_PRODUCT_ELEMS = 1024
 FULL_TABLE_LIMIT = 64
 
 #: Valid values for the ``REPRO_KERNEL`` env knob and the
-#: ``CodingPlan(kernel=...)`` override.  ``auto`` lets the measured-cost
-#: heuristic pick between the XOR-schedule tier and the table tier per
-#: plan shape, and executes through the native (generated-C) backend
-#: whenever one is available; ``table`` / ``xor`` force one numpy side
-#: (``xor`` still routes sub-:data:`SMALL_PRODUCT_ELEMS` products
-#: through the direct path, where neither tier's setup cost pays off);
-#: ``native`` keeps the auto structure decision but requires the native
-#: backend, falling back transparently (and counting the fallback) when
-#: no compiler / cffi is present.
+#: ``CodingPlan(kernel=...)`` override.  ``auto`` runs 0/1 plans as XOR
+#: rows and every other plan on the tables, through the native
+#: (generated-C) backend whenever one is available; ``table`` / ``xor``
+#: force one numpy side (``xor`` on a matrix with any coefficient other
+#: than 0 or 1 runs the tables and counts an ``xor_fallbacks``; both
+#: still route sub-:data:`SMALL_PRODUCT_ELEMS` products through the
+#: direct path); ``native`` makes the same 0/1 decision as ``auto`` but
+#: requires the native backend, falling back transparently (and
+#: counting the fallback) when no compiler / cffi is present.
 KERNEL_CHOICES = ("auto", "table", "xor", "native")
 
 
@@ -124,8 +124,8 @@ def kernel_selection_info() -> dict[str, int]:
 
     Each :class:`CodingPlan` is counted once, at its first large apply —
     the moment the tier decision is actually exercised.  ``xor_fallbacks``
-    counts auto-mode plans that compiled an XOR schedule but fell back to
-    the tables because the cost model said the schedule would lose;
+    counts plans forced to ``kernel="xor"`` whose matrix holds a
+    coefficient other than 0 or 1, so they ran on the tables;
     ``native_fallbacks`` counts plans that asked for the native tier
     (``kernel="native"``) but ran on the numpy tiers because no backend
     could be built.
@@ -221,7 +221,9 @@ class CodingPlan:
     * identity rows (single coefficient equal to 1 — the systematic part of
       every generator) become direct row copies;
     * the remaining rows form a dense sub-matrix, restricted to the data
-      rows it actually touches, applied with the packed-lane gather kernel.
+      rows it actually touches.  When its nonzero coefficients are all 1
+      each row is the XOR of its data rows; otherwise it is applied with
+      the packed-lane gather kernel.
 
     ``apply`` is pure with respect to the plan, so a plan may be reused for
     any number of payloads (and cached — see
@@ -272,6 +274,15 @@ class CodingPlan:
         else:
             self._dense_cols = np.zeros(0, dtype=np.int64)
             self._sub = None
+        # A 0/1 dense part runs as XOR rows unless the tables are forced:
+        # per output row, the payload rows whose coefficient is 1 (always
+        # two or more — single-term rows are copies).  A forced "xor" on
+        # any other matrix runs the tables and counts as a fallback.
+        self._xor_terms = None
+        if self._sub is not None and kernel != "table" and int(self._sub.max()) == 1:
+            self._xor_terms = [tuple(int(c) for c in used[np.flatnonzero(row)]) for row in self._sub]
+        self._xor = self._xor_terms is not None
+        self._xor_fallback = kernel == "xor" and self._sub is not None and not self._xor
         # Packed tables are built lazily by the first large apply.
         self._lanes = 8 if gf.dtype.itemsize == 1 else 4
         self._groups = -(-dense.size // self._lanes) if dense.size else 0
@@ -279,65 +290,46 @@ class CodingPlan:
         self._packed_lo = None  # "split16": (n_used, groups, 256) uint64
         self._packed_hi = None
         self._group_nonzero = None  # (n_used, groups) bool
-        # XOR-schedule tier state; the tier decision is made lazily so
-        # one-shot small products never pay schedule compilation.
-        self._schedule = None
-        self._tier_decided = False
-        self._xor_fallback = False
         self._tier_counted = False
-        # Native (generated-C) tier state: the backend is bound once at
-        # tier-decision time so a plan's labels and execution path never
-        # change under it mid-life.
+        # Native (generated-C) tier state: the backend is bound once, at
+        # the first large apply, so a plan's labels and execution path
+        # never change under it mid-life and one-shot small products
+        # never pay the build.
+        self._backend_bound = False
         self._native_backend = None
         self._native_fallback = False
         self._native_tables = None  # gf8: (tables,); gf16: (lo, hi)
 
     # ------------------------------------------------------------- tables
 
-    def _decide_tier(self) -> None:
-        """Resolve table-vs-XOR for the dense rows, once per plan.
+    def _bind_backend(self) -> None:
+        """Bind the process-wide native backend, once per plan.
 
-        ``kernel="xor"`` forces the schedule; ``auto`` compiles one only
-        when the :func:`repro.gf.schedule.predicted_win` pre-screen says
-        the shape could plausibly beat the tables, then keeps it only if
-        the full cost model (after common-pair elimination) agrees —
-        otherwise the plan falls back to the packed tables and the
-        fallback is counted in :func:`kernel_selection_info`.
+        Only ``auto`` and ``native`` plans use it (``table`` / ``xor``
+        stay pure numpy).  Forced ``native`` without a usable toolchain
+        degrades to the numpy tiers and the fallback is counted.
         """
-        if self._tier_decided:
+        if self._backend_bound:
             return
-        self._tier_decided = True
-        if self._sub is None or self._choice == "table":
+        self._backend_bound = True
+        if self._sub is None or self._choice not in ("auto", "native") or self.gf.q not in (8, 16):
             return
-        if self._choice in ("auto", "native") and self.gf.q in (8, 16):
-            # Bind the process-wide native backend (compiled / dlopen'ed
-            # on first demand).  Forced "native" without a usable
-            # toolchain degrades to the numpy tiers and is counted.
-            from repro.gf import native as _native
+        from repro.gf import native as _native
 
-            self._native_backend = _native.get_backend()
-            if self._native_backend is None and self._choice == "native":
-                self._native_fallback = True
-        if self._choice == "xor":
-            self._schedule = XorSchedule.compile(self.gf, self._sub)
-            return
-        if predicted_win(self.gf, self._sub):
-            schedule = XorSchedule.compile(self.gf, self._sub)
-            if schedule.wins:
-                self._schedule = schedule
-            else:
-                self._xor_fallback = True
+        self._native_backend = _native.get_backend()
+        if self._native_backend is None and self._choice == "native":
+            self._native_fallback = True
 
     @property
     def kernel(self) -> str:
         """Which dense kernel this plan uses once tables are built."""
         if self._sub is None:
             return "copy"
-        self._decide_tier()
-        if self._schedule is not None:
-            return "native-xor" if self._native_backend is not None else "xor"
+        self._bind_backend()
         if self._native_backend is not None:
-            return "native"
+            return "native-xor" if self._xor else "native"
+        if self._xor:
+            return "xor"
         if self.gf.size <= 256 or self._dense_cols.size * self._groups <= FULL_TABLE_LIMIT:
             return "packed-full"
         if self.gf.q == 16:
@@ -420,7 +412,7 @@ class CodingPlan:
             _selection_bytes["direct-small"] += data.nbytes + out.nbytes
             self._apply_dense_direct(data, out)
             return
-        self._decide_tier()
+        self._bind_backend()
         if not self._tier_counted:
             self._tier_counted = True
             _selection_counts[self.kernel] += 1
@@ -429,15 +421,10 @@ class CodingPlan:
             if self._native_fallback:
                 _selection_counts["native_fallbacks"] += 1
         _selection_bytes[self.kernel] += data.nbytes + out.nbytes
-        if self._schedule is not None:
-            if self._native_backend is not None:
-                self._schedule.execute_native(
-                    self._native_backend, data, self._dense_cols, self._dense_dst, out
-                )
-            else:
-                self._schedule.execute(data, self._dense_cols, self._dense_dst, out)
-        elif self._native_backend is not None:
+        if self._native_backend is not None:
             self._apply_dense_native(data, out)
+        elif self._xor:
+            self._apply_dense_xor(data, out)
         else:
             self._apply_dense_packed(data, out)
 
@@ -496,6 +483,19 @@ class CodingPlan:
             prods[d[nz] == 0] = 0
             acc[r] = np.bitwise_xor.reduce(prods, axis=0)
         out[self._dense_dst] = acc
+
+    def _apply_dense_xor(self, data: np.ndarray, out: np.ndarray) -> None:
+        """XOR rows: each dense output row is the XOR of its data rows.
+
+        Full-width passes straight into ``out`` (one XOR's bytes per
+        term, no scratch); numpy's XOR loop streams at memory bandwidth
+        whatever the symbol width.
+        """
+        for row, terms in zip(self._dense_dst, self._xor_terms):
+            o = out[row]
+            np.bitwise_xor(data[terms[0]], data[terms[1]], out=o)
+            for t in terms[2:]:
+                np.bitwise_xor(o, data[t], out=o)
 
     def _apply_dense_packed(self, data: np.ndarray, out: np.ndarray) -> None:
         if self._packed is None and self._packed_lo is None:
@@ -562,9 +562,13 @@ class CodingPlan:
         the field's full mul table.  GF(2^16): ISA-L split lo/hi tables,
         ``(m, n_used, 256)`` uint16 each — the full 65536-entry table
         would blow the cache budget the native tier exists to respect.
+        A 0/1 plan gets empty tables: coefficient-1 terms are plain XORs.
         """
         sub = self._sub
-        if self.gf.q == 8:
+        if self._xor:
+            empty = np.zeros(0, dtype=self.gf.dtype)
+            self._native_tables = (empty,) if self.gf.q == 8 else (empty, empty)
+        elif self.gf.q == 8:
             self._native_tables = (np.ascontiguousarray(self.gf.mul_table[sub]),)
         else:
             lo, hi = split_product_tables(self.gf, sub.reshape(-1))
@@ -579,7 +583,7 @@ class CodingPlan:
     def _apply_dense_native(self, data: np.ndarray, out: np.ndarray) -> None:
         """Dense product through the generated-C gather kernel.
 
-        Cache-blocked with the shared pool budget: one block keeps every
+        Cache-blocked with the gather chunk budget: one block keeps every
         output-row segment plus the streaming data row inside ~L2, so a
         multi-MB stripe never materialises a full-width intermediate.
         """
@@ -592,10 +596,8 @@ class CodingPlan:
         copy_back = out.strides[-1] != itemsize
         if copy_back:
             out_view = np.ascontiguousarray(out)
-        from repro.gf.schedule import pool_budget_bytes
-
         m = self._dense_dst.size
-        block = pool_budget_bytes() // (itemsize * (m + 1))
+        block = GATHER_CHUNK_WORDS * 8 // (itemsize * (m + 1))
         block = max(4096, block & ~63)
         if self.gf.q == 8:
             (tables,) = self._native_tables

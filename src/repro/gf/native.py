@@ -1,23 +1,22 @@
 """Native (generated-C) kernel tier, compiled at first use via cffi.
 
-This is the fourth rung of the kernel ladder (scalar -> packed tables ->
-XOR schedules -> native).  The numpy tiers stream every coding product
-through ufunc passes and gather intermediates; ISA-L-class throughput
-needs the two hot loops in real machine code:
+This is the top rung of the kernel ladder (scalar -> packed tables / XOR
+rows -> native).  The numpy tiers stream every coding product through
+ufunc passes and gather intermediates; ISA-L-class throughput needs the
+hot loop in real machine code: the **gather-multiply-accumulate** of
+:class:`repro.gf.kernels.CodingPlan`, a C loop over per-coefficient
+product tables.
 
-* **gather-multiply-accumulate** — the packed multi-lane product of
-  :class:`repro.gf.kernels.CodingPlan`, as a C loop over per-coefficient
-  product tables.  On AVX2 hosts the GF(2^8) kernel runs the classic
-  ISA-L ``pshufb`` nibble split (two 16-entry shuffles per 32 symbols);
-  GF(2^16) uses the split lo/hi byte tables.  Both are cache-blocked so
-  a multi-MB stripe streams through an L2-sized working set: the block
-  loop is outermost and every output row segment stays resident across
-  the data-row walk.
-* **XOR-schedule execution** — the compiled program of
-  :class:`repro.gf.schedule.XorSchedule` lowered to a flat instruction
-  array (ZERO / COPY / XOR2 / XACC / DOUBLE over data / output / pool
-  rows) executed chunk-by-chunk in C, with the same scratch-pool budget
-  as the numpy executor (``REPRO_POOL_KB``).
+* On AVX2 hosts the GF(2^8) kernel runs the classic ISA-L ``pshufb``
+  nibble split (two 16-entry shuffles per 32 symbols); GF(2^16) uses the
+  split lo/hi byte tables.
+* A coefficient of 1 needs no table: the term is a plain XOR, and a
+  row's first two such terms fuse into one ``dst = a ^ b`` pass, so a
+  0/1 plan (XOR parities, Pyramid/Galloper local repair — label
+  ``native-xor``) moves one XOR's bytes per term.
+* The loop is cache-blocked so a multi-MB stripe streams through an
+  L2-sized working set: the block loop is outermost and every output row
+  segment stays resident across the data-row walk.
 
 The shared object is built lazily on first use: the generated C source
 is compiled with the host toolchain (``cc``/``gcc``/``clang``,
@@ -54,23 +53,7 @@ __all__ = [
     "native_unavailable_reason",
     "reset_native_backend",
     "native_build_key",
-    "OP_ZERO",
-    "OP_COPY",
-    "OP_XOR2",
-    "OP_XACC",
-    "OP_DOUBLE",
 ]
-
-#: XOR-program opcodes shared with the C executor (instruction layout:
-#: ``op, dst_base, dst_row, a_base, a_row, b_base, b_row`` as int32).
-OP_ZERO, OP_COPY, OP_XOR2, OP_XACC, OP_DOUBLE = range(5)
-
-#: Operand bases: payload rows (resolved through ``cols``), output rows
-#: (resolved through ``rows``), scratch-pool rows.
-BASE_DATA, BASE_OUT, BASE_POOL = range(3)
-
-#: Ints per instruction in the flattened program array.
-INSN_WORDS = 7
 
 #: Bump to invalidate cached shared objects when the ABI (not the C
 #: text) changes in a way the source hash cannot see.
@@ -84,7 +67,7 @@ void repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
                       uint8_t *out, ptrdiff_t ostride,
                       const int32_t *rows,
                       int32_t m, int32_t n, size_t s, size_t block,
-                      uint8_t *started);
+                      int32_t *state);
 void repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
                        const uint16_t *coeffs,
                        const uint16_t *data, ptrdiff_t dstride,
@@ -92,14 +75,7 @@ void repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
                        uint16_t *out, ptrdiff_t ostride,
                        const int32_t *rows,
                        int32_t m, int32_t n, size_t s, size_t block,
-                       uint8_t *started);
-void repro_xor_exec(const uint8_t *data, ptrdiff_t dstride,
-                    const int32_t *cols,
-                    uint8_t *out, ptrdiff_t ostride,
-                    const int32_t *rows,
-                    uint8_t *pool, size_t block_bytes,
-                    const int32_t *prog, int32_t n_insn,
-                    size_t nbytes, int32_t qbits, uint32_t red);
+                       int32_t *state);
 """
 
 _C_SOURCE = r"""
@@ -166,34 +142,81 @@ static void mla8_block(uint8_t *dst, const uint8_t *src, const uint8_t *tab,
 #define mla8_block mla8_scalar
 #endif
 
+/* --------------------------------------------------- coefficient 1 */
+
+/* A coefficient-1 term is a plain XOR, no table.  acc != 0: dst ^= a.
+ * Otherwise this is the row's first term: dst = a ^ b when its next
+ * term b is a 1 too (fused, so an all-ones row moves one XOR's bytes
+ * per term), else dst = a. */
+static void xor_term(uint8_t *dst, const uint8_t *a, const uint8_t *b,
+                     size_t nbytes, int acc)
+{
+    size_t t;
+    if (acc)
+        for (t = 0; t < nbytes; t++) dst[t] ^= a[t];
+    else if (b)
+        for (t = 0; t < nbytes; t++) dst[t] = a[t] ^ b[t];
+    else
+        memcpy(dst, a, nbytes);
+}
+
+/* Per-row state across one block's data-row walk: -1 while nothing has
+ * landed in the row (its first product stores, no zero-fill pass), then
+ * the data row a fused first XOR already consumed (or n for none). */
+static void reset_state(int32_t *state, int32_t m)
+{
+    int32_t i;
+    for (i = 0; i < m; i++) state[i] = -1;
+}
+
+/* First nonzero column of a coefficient row after j, or n. */
+#define NEXT_NONZERO(row, j, n, out) \
+    do { (out) = (j) + 1; while ((out) < (n) && !(row)[(out)]) (out)++; } while (0)
+
+/* ------------------------------------------------------------- gather */
+
 /* Cache-blocked (m x n) GF(2^8) product: for each L2-sized column block,
  * walk the data rows once; every output-row segment stays resident across
- * the walk.  `started` is an m-byte scratch marking rows whose first
- * product already landed. */
+ * the walk.  `state` is an m-entry scratch (see reset_state). */
 void repro_gf8_gather(const uint8_t *tables, const uint8_t *coeffs,
                       const uint8_t *data, ptrdiff_t dstride,
                       const int32_t *cols,
                       uint8_t *out, ptrdiff_t ostride,
                       const int32_t *rows,
                       int32_t m, int32_t n, size_t s, size_t block,
-                      uint8_t *started)
+                      int32_t *state)
 {
     size_t s0;
     for (s0 = 0; s0 < s; s0 += block) {
         size_t w = (s - s0 < block) ? s - s0 : block;
         int32_t i, j;
-        memset(started, 0, (size_t)m);
+        reset_state(state, m);
         for (j = 0; j < n; j++) {
             const uint8_t *src = data + (ptrdiff_t)cols[j] * dstride + (ptrdiff_t)s0;
             for (i = 0; i < m; i++) {
-                uint8_t c = coeffs[(size_t)i * (size_t)n + (size_t)j];
+                const uint8_t *crow = coeffs + (size_t)i * (size_t)n;
+                uint8_t c = crow[j];
                 uint8_t *dst;
-                if (!c) continue;
+                if (!c || state[i] == j) continue;
                 dst = out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0;
+                if (c == 1) {
+                    const uint8_t *b = 0;
+                    int32_t j2 = n;
+                    if (state[i] < 0) {
+                        NEXT_NONZERO(crow, j, n, j2);
+                        if (j2 < n && crow[j2] == 1)
+                            b = data + (ptrdiff_t)cols[j2] * dstride + (ptrdiff_t)s0;
+                        else
+                            j2 = n;
+                    }
+                    xor_term(dst, src, b, w, state[i] >= 0);
+                    if (state[i] < 0) state[i] = j2;
+                    continue;
+                }
                 mla8_block(dst, src,
                            tables + ((size_t)i * (size_t)n + (size_t)j) * 256,
-                           w, started[i]);
-                started[i] = 1;
+                           w, state[i] >= 0);
+                if (state[i] < 0) state[i] = n;
             }
         }
     }
@@ -218,128 +241,39 @@ void repro_gf16_gather(const uint16_t *lo, const uint16_t *hi,
                        uint16_t *out, ptrdiff_t ostride,
                        const int32_t *rows,
                        int32_t m, int32_t n, size_t s, size_t block,
-                       uint8_t *started)
+                       int32_t *state)
 {
     size_t s0;
     for (s0 = 0; s0 < s; s0 += block) {
         size_t w = (s - s0 < block) ? s - s0 : block;
         int32_t i, j;
-        memset(started, 0, (size_t)m);
+        reset_state(state, m);
         for (j = 0; j < n; j++) {
             const uint16_t *src = data + (ptrdiff_t)cols[j] * dstride + (ptrdiff_t)s0;
             for (i = 0; i < m; i++) {
+                const uint16_t *crow = coeffs + (size_t)i * (size_t)n;
                 size_t e = (size_t)i * (size_t)n + (size_t)j;
+                uint16_t c = crow[j];
                 uint16_t *dst;
-                if (!coeffs[e]) continue;
+                if (!c || state[i] == j) continue;
                 dst = out + (ptrdiff_t)rows[i] * ostride + (ptrdiff_t)s0;
-                mla16(dst, src, lo + e * 256, hi + e * 256, w, started[i]);
-                started[i] = 1;
-            }
-        }
-    }
-}
-
-/* ---------------------------------------------------- XOR-schedule exec */
-
-static void vxor2(uint8_t *dst, const uint8_t *a, const uint8_t *b, size_t w)
-{
-    size_t t;
-    for (t = 0; t < w; t++) dst[t] = a[t] ^ b[t];
-}
-
-static void vxacc(uint8_t *dst, const uint8_t *a, size_t w)
-{
-    size_t t;
-    for (t = 0; t < w; t++) dst[t] ^= a[t];
-}
-
-/* dst = src * alpha over GF(2^q): shift each symbol left one bit and XOR
- * the reduction polynomial wherever the old top bit was set.  Safe when
- * dst aliases src (pure elementwise). */
-static void vdouble8(uint8_t *dst, const uint8_t *src, size_t w,
-                     int32_t qbits, uint32_t red)
-{
-    uint8_t mask = (uint8_t)(((1u << qbits) - 1u) >> 1);
-    int shift = qbits - 1;
-    size_t t;
-    for (t = 0; t < w; t++) {
-        uint8_t v = src[t];
-        dst[t] = (uint8_t)(((uint8_t)(v & mask) << 1) ^ (((v >> shift) & 1u) * red));
-    }
-}
-
-static void vdouble16(uint16_t *dst, const uint16_t *src, size_t w,
-                      int32_t qbits, uint32_t red)
-{
-    uint16_t mask = (uint16_t)(((1u << qbits) - 1u) >> 1);
-    int shift = qbits - 1;
-    size_t t;
-    for (t = 0; t < w; t++) {
-        uint16_t v = src[t];
-        dst[t] = (uint16_t)(((uint16_t)(v & mask) << 1) ^ (((v >> shift) & 1u) * red));
-    }
-}
-
-static uint8_t *xref(int32_t base, int32_t row, size_t s0,
-                     const uint8_t *data, ptrdiff_t dstride, const int32_t *cols,
-                     uint8_t *out, ptrdiff_t ostride, const int32_t *rows,
-                     uint8_t *pool, size_t block_bytes)
-{
-    if (base == 0)
-        return (uint8_t *)data + (ptrdiff_t)cols[row] * dstride + (ptrdiff_t)s0;
-    if (base == 1)
-        return out + (ptrdiff_t)rows[row] * ostride + (ptrdiff_t)s0;
-    return pool + (size_t)row * block_bytes;
-}
-
-/* Execute a flattened XOR program chunk by chunk.  Pool rows hold one
- * chunk's worth of ladder lanes / CSE intermediates and are recomputed
- * per chunk; data and output rows are addressed at the chunk offset.
- * Strides are in bytes; `nbytes` is the full row length in bytes. */
-void repro_xor_exec(const uint8_t *data, ptrdiff_t dstride,
-                    const int32_t *cols,
-                    uint8_t *out, ptrdiff_t ostride,
-                    const int32_t *rows,
-                    uint8_t *pool, size_t block_bytes,
-                    const int32_t *prog, int32_t n_insn,
-                    size_t nbytes, int32_t qbits, uint32_t red)
-{
-    size_t block = block_bytes ? block_bytes : nbytes;
-    size_t s0;
-    if (!nbytes) return;
-    for (s0 = 0; s0 < nbytes; s0 += block) {
-        size_t w = (nbytes - s0 < block) ? nbytes - s0 : block;
-        int32_t p;
-        for (p = 0; p < n_insn; p++) {
-            const int32_t *ins = prog + (size_t)p * 7;
-            uint8_t *dst = xref(ins[1], ins[2], s0, data, dstride, cols,
-                                out, ostride, rows, pool, block_bytes);
-            const uint8_t *a = (ins[0] == 0) ? 0 :
-                xref(ins[3], ins[4], s0, data, dstride, cols,
-                     out, ostride, rows, pool, block_bytes);
-            switch (ins[0]) {
-            case 0:  /* ZERO */
-                memset(dst, 0, w);
-                break;
-            case 1:  /* COPY */
-                memcpy(dst, a, w);
-                break;
-            case 2: {  /* XOR2 */
-                const uint8_t *b = xref(ins[5], ins[6], s0, data, dstride, cols,
-                                        out, ostride, rows, pool, block_bytes);
-                vxor2(dst, a, b, w);
-                break;
-            }
-            case 3:  /* XACC */
-                vxacc(dst, a, w);
-                break;
-            case 4:  /* DOUBLE */
-                if (qbits <= 8)
-                    vdouble8(dst, a, w, qbits, red);
-                else
-                    vdouble16((uint16_t *)dst, (const uint16_t *)a, w / 2,
-                              qbits, red);
-                break;
+                if (c == 1) {
+                    const uint16_t *b = 0;
+                    int32_t j2 = n;
+                    if (state[i] < 0) {
+                        NEXT_NONZERO(crow, j, n, j2);
+                        if (j2 < n && crow[j2] == 1)
+                            b = data + (ptrdiff_t)cols[j2] * dstride + (ptrdiff_t)s0;
+                        else
+                            j2 = n;
+                    }
+                    xor_term((uint8_t *)dst, (const uint8_t *)src, (const uint8_t *)b,
+                             w * 2, state[i] >= 0);
+                    if (state[i] < 0) state[i] = j2;
+                    continue;
+                }
+                mla16(dst, src, lo + e * 256, hi + e * 256, w, state[i] >= 0);
+                if (state[i] < 0) state[i] = n;
             }
         }
     }
@@ -459,58 +393,52 @@ class NativeBackend:
 
     # ------------------------------------------------------------ helpers
 
-    def _ptr(self, ctype: str, arr: np.ndarray):
-        return self._ffi.cast(ctype, arr.ctypes.data)
+    def _ptr(self, item: str, arr: np.ndarray):
+        """A ``item *`` argument for ``arr``'s first element.
+
+        Small applies pay this once per pointer argument, so it takes the
+        cheapest route numpy offers: the buffer protocol for contiguous
+        arrays, else the raw address (``arr.ctypes`` costs several times
+        either).
+        """
+        if arr.flags.c_contiguous:
+            return self._ffi.from_buffer(item + "[]", arr)
+        return self._ffi.cast(item + " *", arr.__array_interface__["data"][0])
 
     # ------------------------------------------------------------- kernels
 
     def gf8_gather(self, tables, coeffs, data, cols, out, rows, block: int) -> None:
-        """``out[rows] (+)= tables @ data[cols]`` over GF(2^8), cache-blocked."""
+        """``out[rows] = tables @ data[cols]`` over GF(2^8), cache-blocked.
+
+        Coefficient-1 terms are XORs and never read ``tables``.
+        """
         m, n = coeffs.shape
-        started = np.empty(m, dtype=np.uint8)
+        state = np.empty(m, dtype=np.int32)
         self._lib.repro_gf8_gather(
-            self._ptr("const uint8_t *", tables),
-            self._ptr("const uint8_t *", coeffs),
-            self._ptr("const uint8_t *", data), data.strides[0],
-            self._ptr("const int32_t *", cols),
-            self._ptr("uint8_t *", out), out.strides[0],
-            self._ptr("const int32_t *", rows),
+            self._ptr("uint8_t", tables),
+            self._ptr("uint8_t", coeffs),
+            self._ptr("uint8_t", data), data.strides[0],
+            self._ptr("int32_t", cols),
+            self._ptr("uint8_t", out), out.strides[0],
+            self._ptr("int32_t", rows),
             m, n, data.shape[1], block,
-            self._ptr("uint8_t *", started),
+            self._ptr("int32_t", state),
         )
 
     def gf16_gather(self, lo, hi, coeffs, data, cols, out, rows, block: int) -> None:
         """Split-table GF(2^16) product; strides/counts in uint16 elements."""
         m, n = coeffs.shape
-        started = np.empty(m, dtype=np.uint8)
+        state = np.empty(m, dtype=np.int32)
         self._lib.repro_gf16_gather(
-            self._ptr("const uint16_t *", lo),
-            self._ptr("const uint16_t *", hi),
-            self._ptr("const uint16_t *", coeffs),
-            self._ptr("const uint16_t *", data), data.strides[0] // 2,
-            self._ptr("const int32_t *", cols),
-            self._ptr("uint16_t *", out), out.strides[0] // 2,
-            self._ptr("const int32_t *", rows),
+            self._ptr("uint16_t", lo),
+            self._ptr("uint16_t", hi),
+            self._ptr("uint16_t", coeffs),
+            self._ptr("uint16_t", data), data.strides[0] // 2,
+            self._ptr("int32_t", cols),
+            self._ptr("uint16_t", out), out.strides[0] // 2,
+            self._ptr("int32_t", rows),
             m, n, data.shape[1], block,
-            self._ptr("uint8_t *", started),
-        )
-
-    def xor_exec(self, prog, data, cols, out, rows, pool, block_bytes: int,
-                 nbytes: int, qbits: int, red: int) -> None:
-        """Run a flattened XOR program (see :data:`OP_ZERO` .. :data:`OP_DOUBLE`)."""
-        pool_ptr = (
-            self._ptr("uint8_t *", pool)
-            if pool is not None
-            else self._ffi.NULL
-        )
-        self._lib.repro_xor_exec(
-            self._ptr("const uint8_t *", data), data.strides[0],
-            self._ptr("const int32_t *", cols),
-            self._ptr("uint8_t *", out), out.strides[0],
-            self._ptr("const int32_t *", rows),
-            pool_ptr, block_bytes,
-            self._ptr("const int32_t *", prog), prog.size // INSN_WORDS,
-            nbytes, qbits, red,
+            self._ptr("int32_t", state),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -5,7 +5,7 @@ of every encode/decode/reconstruct; this aggregator answers *which
 kernel burned the time and at what throughput* without a trace viewer.
 :meth:`CodingPlan.apply <repro.gf.kernels.CodingPlan.apply>` records one
 entry per apply — kernel kind (``copy`` / ``packed-full`` /
-``packed-split`` / ``xor`` for the XOR-schedule tier / ``native`` /
+``packed-split`` / ``xor`` for the XOR-rows tier / ``native`` /
 ``native-xor`` for the generated-C tier / ``direct-small``), elapsed
 seconds, and bytes touched (payload + output) — whenever the profiler
 is enabled.

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.codes import LRCStructure, PyramidCode
@@ -84,6 +84,9 @@ def general_params(draw):
 class TestGeneralCaseProperties:
     @settings(max_examples=15, deadline=None)
     @given(general_params())
+    # A drawn code whose systematic check must stay cheap: a plan build
+    # that grows with the generator's density once took minutes here.
+    @example((6, 3, 1, [1, 1, 0.25, 1, 0.5, 1, 2, 0.25, 2, 1]))
     def test_lp_weights_always_constructible(self, params):
         k, l, g, perf = params
         code = GalloperCode(k, l, g, performances=perf)

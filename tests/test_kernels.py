@@ -1,10 +1,13 @@
-"""The packed-lane coding kernels and the compiled-plan cache.
+"""The coding kernels, their tiers, and the compiled-plan cache.
 
 Property tests pin the accelerated kernels to the scalar field arithmetic
-(bit-identical for GF(2^8) and GF(2^16), including degenerate shapes), and
-the cache tests pin the plan-reuse semantics the storage layer relies on:
-hits on repeated patterns, fresh plans when availability changes, LRU
-eviction, and the DecodingError paths for singular availability.
+(bit-identical for GF(2^8) and GF(2^16), including degenerate shapes);
+the tier tests pin every ``kernel=`` choice (``auto``, ``table``, ``xor``,
+``native``) byte-equal to :func:`mat_data_product_reference` on 0/1 and
+dense matrices, and the 0/1 rule that picks the XOR-rows path; the cache
+tests pin the plan-reuse semantics the storage layer relies on: hits on
+repeated patterns, fresh plans when availability changes, LRU eviction,
+and the DecodingError paths for singular availability.
 """
 
 import numpy as np
@@ -15,20 +18,51 @@ from hypothesis import strategies as st
 import repro.gf.kernels as kernels_mod
 from repro.codes import PyramidCode, ReedSolomonCode
 from repro.codes.base import DecodingError
+from repro.core import GalloperCode
 from repro.gf import (
     GF256,
     GF65536,
+    KERNEL_CHOICES,
     CodingPlan,
     GFError,
+    current_kernel_choice,
+    kernel_selection_info,
     mat_data_product,
     mat_data_product_reference,
+    native_available,
     random_symbols,
+    reset_kernel_selection,
     split_product_tables,
     validate_symbols,
 )
 from repro.gf.kernels import SMALL_PRODUCT_ELEMS
 
 FIELDS = [GF256, GF65536]
+FIELD_IDS = ["gf256", "gf65536"]
+
+#: Comfortably above SMALL_PRODUCT_ELEMS, so plans run their tier.
+LARGE = 4096
+
+
+def _auto(label: str) -> str:
+    """The label auto mode reports for a numpy-tier label.
+
+    With a native backend in the process, auto plans make the same 0/1
+    decision but execute (and label) natively.
+    """
+    if not native_available():
+        return label
+    return {"xor": "native-xor", "packed-full": "native", "packed-split": "native"}[label]
+
+
+def zero_one_matrix(gf, m, n, seed):
+    """Random 0/1 matrix with 1..n ones per row, plus a copy row and a zero row."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((m + 2, n), dtype=gf.dtype)
+    for row in coeffs[:m]:
+        row[rng.choice(n, size=rng.integers(1, n + 1), replace=False)] = 1
+    coeffs[m, rng.integers(n)] = 1  # copy row
+    return coeffs[rng.permutation(m + 2)]  # the zero row lands anywhere
 
 
 def scalar_product(gf, coeffs, data):
@@ -118,6 +152,70 @@ class TestKernelEquivalence:
             mat_data_product(GF256, coeffs, data),
             mat_data_product_reference(GF256, coeffs, data),
         )
+
+
+@pytest.mark.xdist_group("kernel-global-state")
+@pytest.mark.parametrize("tier", KERNEL_CHOICES)
+@pytest.mark.parametrize("gf", FIELDS, ids=FIELD_IDS)
+class TestTierEquality:
+    """Every tier is byte-equal to the seed reference, on 0/1 and dense
+    matrices alike (forced ``xor`` on a dense matrix runs the tables)."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=SMALL_PRODUCT_ELEMS, max_value=3 * SMALL_PRODUCT_ELEMS),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_zero_one_matrices(self, tier, gf, m, n, s, seed):
+        coeffs = zero_one_matrix(gf, m, n, seed)
+        data = random_symbols(gf, (n, s), seed=seed + 1)
+        got = CodingPlan(gf, coeffs, kernel=tier).apply(data)
+        assert np.array_equal(got, mat_data_product_reference(gf, coeffs, data))
+
+    @pytest.mark.parametrize("s", [LARGE, LARGE + 1, LARGE + 7, 3 * LARGE + 5])
+    def test_dense_and_zero_one_widths(self, tier, gf, s):
+        """Widths that are and are not a multiple of 8 symbols."""
+        for coeffs in (random_symbols(gf, (5, 9), seed=s), zero_one_matrix(gf, 5, 9, seed=s)):
+            data = random_symbols(gf, (9, s), seed=s + 1)
+            got = CodingPlan(gf, coeffs, kernel=tier).apply(data)
+            assert np.array_equal(got, mat_data_product_reference(gf, coeffs, data))
+
+    def test_apply_batch_ragged_segments(self, tier, gf):
+        for coeffs in (zero_one_matrix(gf, 3, 6, seed=1), random_symbols(gf, (3, 6), seed=2)):
+            plan = CodingPlan(gf, coeffs, kernel=tier)
+            segs = [random_symbols(gf, (6, w), seed=w) for w in (900, 1024, 37, 5001)]
+            for seg, got in zip(segs, plan.apply_batch(segs)):
+                assert got.shape == (coeffs.shape[0], seg.shape[1])
+                assert np.array_equal(got, mat_data_product_reference(gf, coeffs, seg))
+
+    def test_non_contiguous_out(self, tier, gf):
+        for coeffs in (zero_one_matrix(gf, 4, 7, seed=3), random_symbols(gf, (4, 7), seed=4)):
+            data = random_symbols(gf, (7, 2 * LARGE), seed=5)[:, 1::2]
+            backing = np.zeros((coeffs.shape[0], 2 * LARGE), dtype=gf.dtype)
+            out = backing[:, ::2]
+            CodingPlan(gf, coeffs, kernel=tier).apply(data, out=out)
+            want = mat_data_product_reference(gf, coeffs, np.ascontiguousarray(data))
+            assert np.array_equal(out, want)
+            assert not backing[:, 1::2].any()
+
+    @pytest.mark.parametrize("family", ["galloper", "pyramid", "rs"])
+    def test_single_block_reconstruct(self, tier, gf, family):
+        code = {
+            "galloper": lambda: GalloperCode(4, 2, 1, gf=gf),
+            "pyramid": lambda: PyramidCode(4, 2, 1, gf=gf),
+            "rs": lambda: ReedSolomonCode(6, 3, gf=gf),
+        }[family]()
+        target = 1
+        rp = code.repair_plan(target)
+        coeffs = code.compile_reconstruct(target, rp.helpers).coeffs
+        data = random_symbols(gf, (code.data_stripe_total, LARGE), seed=6)
+        blocks = code.encode(data)
+        helpers = np.concatenate([blocks[h] for h in rp.helpers], axis=0)
+        got = CodingPlan(gf, coeffs, kernel=tier).apply(helpers)
+        assert np.array_equal(got, mat_data_product_reference(gf, coeffs, helpers))
+        assert np.array_equal(got, blocks[target])
 
 
 class TestValidation:
@@ -296,3 +394,157 @@ class TestWideFieldRoundTrip:
         avail = {b: blocks[b] for b in range(code.n) if b != target}
         rebuilt, _ = code.reconstruct(target, avail)
         assert np.array_equal(rebuilt, blocks[target])
+
+
+# ------------------------------------------------------ XOR rows and tiers
+
+
+class TestCodingPlanXor:
+    def test_auto_selects_xor_for_parity_and_table_for_cauchy(self):
+        rs = ReedSolomonCode(10, 1)
+        assert CodingPlan(rs.gf, rs.generator).kernel == _auto("xor")
+        gal = GalloperCode(4, 2, 1)
+        assert CodingPlan(gal.gf, gal.generator).kernel == _auto("packed-full")
+
+    @pytest.mark.parametrize("gf", FIELDS, ids=FIELD_IDS)
+    @pytest.mark.parametrize("tier", KERNEL_CHOICES)
+    def test_non_zero_one_matrix_never_labelled_xor(self, gf, tier):
+        # A single coefficient outside {0, 1} keeps the whole plan off
+        # the XOR rows, whatever the tier choice.
+        coeffs = zero_one_matrix(gf, 4, 6, seed=7)
+        coeffs[np.nonzero(coeffs)[0][0], np.nonzero(coeffs)[1][0]] = 2
+        plan = CodingPlan(gf, coeffs, kernel=tier)
+        plan.apply(random_symbols(gf, (6, LARGE), seed=8))
+        assert plan.kernel not in ("xor", "native-xor")
+
+    @pytest.mark.parametrize(
+        "factory", [lambda: GalloperCode(4, 2, 1), lambda: PyramidCode(4, 2, 1)]
+    )
+    def test_local_repair_plans_choose_xor_and_reconstruct(self, factory):
+        code = factory()
+        target = 0
+        rp = code.repair_plan(target)
+        plan = code.compile_reconstruct(target, rp.helpers)
+        assert plan.kernel == _auto("xor")
+        data = random_symbols(code.gf, (code.data_stripe_total, LARGE), seed=7)
+        blocks = code.encode(data)
+        avail = {b: blocks[b] for b in range(code.n) if b != target}
+        rebuilt, _ = code.reconstruct(target, avail, rp)
+        assert np.array_equal(rebuilt, blocks[target])
+
+    def test_invalid_kernel_rejected(self):
+        with pytest.raises(GFError):
+            CodingPlan(GF256, np.eye(2, dtype=np.uint8), kernel="simd")
+
+    def test_forced_xor_small_product_uses_direct_path(self):
+        # Below SMALL_PRODUCT_ELEMS even a forced-xor plan takes the
+        # log/antilog path — but stays byte-exact.
+        gf = GF256
+        coeffs = random_symbols(gf, (2, 3), seed=29)
+        payload = random_symbols(gf, (3, 64), seed=31)
+        want = mat_data_product_reference(gf, coeffs, payload)
+        assert np.array_equal(CodingPlan(gf, coeffs, kernel="xor").apply(payload), want)
+
+
+@pytest.mark.xdist_group("kernel-global-state")
+class TestKernelKnobAndCache:
+    def test_env_knob_validation(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "table")
+        assert current_kernel_choice() == "table"
+        monkeypatch.setenv("REPRO_KERNEL", "turbo")
+        with pytest.raises(GFError):
+            current_kernel_choice()
+        monkeypatch.delenv("REPRO_KERNEL")
+        assert current_kernel_choice() == "auto"
+
+    def test_plan_cache_keys_include_kernel_choice(self, monkeypatch):
+        code = ReedSolomonCode(10, 1)
+        monkeypatch.setenv("REPRO_KERNEL", "table")
+        table_plan = code.compile_encode()
+        assert table_plan.kernel != "xor"
+        monkeypatch.setenv("REPRO_KERNEL", "xor")
+        xor_plan = code.compile_encode()
+        assert xor_plan is not table_plan
+        assert xor_plan.kernel == "xor"
+        # Same knob value -> same cached plan object.
+        assert code.compile_encode() is xor_plan
+        monkeypatch.setenv("REPRO_KERNEL", "table")
+        assert code.compile_encode() is table_plan
+
+    def test_reconstruct_cache_keyed_by_choice(self, monkeypatch):
+        code = GalloperCode(4, 2, 1)
+        helpers = code.repair_plan(0).helpers
+        monkeypatch.setenv("REPRO_KERNEL", "table")
+        p_table = code.compile_reconstruct(0, helpers)
+        monkeypatch.setenv("REPRO_KERNEL", "auto")
+        p_auto = code.compile_reconstruct(0, helpers)
+        assert p_auto is not p_table
+        assert p_table.kernel.startswith("packed")
+        assert p_auto.kernel == _auto("xor")
+
+    def test_clear_plan_cache_drops_encode_plans(self, monkeypatch):
+        code = ReedSolomonCode(4, 2)
+        plan = code.compile_encode()
+        code.clear_plan_cache()
+        assert code.compile_encode() is not plan
+
+
+@pytest.mark.xdist_group("kernel-global-state")
+class TestSelectionCounters:
+    def test_counters_count_first_large_apply(self):
+        reset_kernel_selection()
+        gf = GF256
+        xor_plan = CodingPlan(gf, np.ones((1, 10), dtype=np.uint8))
+        payload = random_symbols(gf, (10, LARGE), seed=37)
+        xor_plan.apply(payload)
+        xor_plan.apply(payload)  # counted once, not per apply
+        dense = CodingPlan(gf, random_symbols(gf, (4, 6), seed=41) | 1)
+        dense.apply(random_symbols(gf, (6, LARGE), seed=43))
+        counts = kernel_selection_info()
+        assert counts[_auto("xor")] == 1
+        assert counts[_auto("packed-full")] == 1
+
+    def test_fallback_counter(self):
+        # A forced xor on a matrix with a coefficient outside {0, 1}
+        # runs the tables and counts one fallback however often it is
+        # applied; a forced xor on a 0/1 matrix never counts one.
+        reset_kernel_selection()
+        gf = GF256
+        payload = random_symbols(gf, (6, LARGE), seed=53)
+        forced = CodingPlan(gf, random_symbols(gf, (4, 6), seed=47) | 2, kernel="xor")
+        forced.apply(payload)
+        forced.apply(payload)
+        assert forced.kernel == "packed-full"
+        CodingPlan(gf, zero_one_matrix(gf, 4, 6, seed=59), kernel="xor").apply(payload)
+        counts = kernel_selection_info()
+        assert counts["xor_fallbacks"] == 1
+        assert counts["packed-full"] == 1
+        assert counts["xor"] == 1
+
+    def test_reset(self):
+        reset_kernel_selection()
+        assert all(v == 0 for v in kernel_selection_info().values())
+
+
+class TestValidateSymbolsDiagnostics:
+    def test_error_names_dtype_and_field(self):
+        bad = np.array([0, 300], dtype=np.int32)
+        with pytest.raises(GFError) as exc:
+            validate_symbols(GF256, bad, "data")
+        msg = str(exc.value)
+        assert "int32" in msg
+        assert "300" in msg
+        assert "255" in msg  # the field maximum
+        assert "GF(2^8)" in msg
+
+    def test_uint16_data_against_gf256_plan(self):
+        wide = np.array([[1000]], dtype=np.uint16)
+        with pytest.raises(GFError) as exc:
+            validate_symbols(GF256, wide, "data")
+        assert "uint16" in str(exc.value)
+        assert "16-bit" in str(exc.value)
+
+    def test_in_range_passes_unchanged(self):
+        ok = np.array([0, 255], dtype=np.uint16)
+        out = validate_symbols(GF256, ok, "data")
+        assert out.dtype == GF256.dtype

@@ -9,18 +9,16 @@ tests simulate the compiler-less host explicitly.
 import numpy as np
 import pytest
 
+import repro.gf.kernels as kernels_mod
 from repro.gf import (
     GF256,
     GF65536,
-    GFError,
     CodingPlan,
-    XorSchedule,
     kernel_bytes_info,
     kernel_selection_info,
     mat_data_product_reference,
     native_available,
     native_unavailable_reason,
-    pool_budget_bytes,
     random_symbols,
     reset_kernel_selection,
     reset_native_backend,
@@ -43,14 +41,18 @@ def _random(gf, shape, seed):
     return random_symbols(gf, shape, seed=seed)
 
 
+def _zero_one(gf, shape, seed):
+    """0/1 matrix with at least two ones per row (an XOR-rows plan)."""
+    coeffs = (np.random.default_rng(seed).random(shape) < 0.5).astype(gf.dtype)
+    coeffs[:, :2] = 1
+    return coeffs
+
+
 def _all_tiers(gf, coeffs, payload):
-    """Apply through every forced tier plus the scalar reference oracle."""
-    results = {
-        "reference": mat_data_product_reference(gf, coeffs, payload),
-        "table": CodingPlan(gf, coeffs, kernel="table").apply(payload),
-        "xor": CodingPlan(gf, coeffs, kernel="xor").apply(payload),
-        "native": CodingPlan(gf, coeffs, kernel="native").apply(payload),
-    }
+    """Apply through every tier choice plus the scalar reference oracle."""
+    results = {"reference": mat_data_product_reference(gf, coeffs, payload)}
+    for tier in ("auto", "table", "xor", "native"):
+        results[tier] = CodingPlan(gf, coeffs, kernel=tier).apply(payload)
     return results
 
 
@@ -95,139 +97,116 @@ class TestBuild:
 
 @needs_native
 class TestByteExactness:
-    """All four tiers and the scalar oracle agree bit for bit."""
+    """Every tier choice and the scalar oracle agree bit for bit."""
 
     @pytest.mark.parametrize("k", [50, 100])
     def test_wide_stripe_gf256(self, k):
-        gf = GF256
-        coeffs = _random(gf, (4, k), seed=k) | 1  # dense: no zero coefficients
-        payload = _random(gf, (k, LARGE), seed=k + 1)
-        results = _all_tiers(gf, coeffs, payload)
-        for label, got in results.items():
-            assert np.array_equal(got, results["reference"]), label
+        self._wide_stripe(GF256, k, LARGE)
 
     @pytest.mark.parametrize("k", [50, 100])
     def test_wide_stripe_gf65536(self, k):
-        gf = GF65536
-        coeffs = _random(gf, (4, k), seed=k) | 1
-        payload = _random(gf, (k, LARGE // 4), seed=k + 1)
-        results = _all_tiers(gf, coeffs, payload)
-        for label, got in results.items():
-            assert np.array_equal(got, results["reference"]), label
+        self._wide_stripe(GF65536, k, LARGE // 4)
+
+    @staticmethod
+    def _wide_stripe(gf, k, width):
+        dense = _random(gf, (4, k), seed=k) | 1  # no zero coefficients
+        # XOR parities, plus a copy row and a zero row.
+        parity = _zero_one(gf, (6, k), seed=k)
+        parity[4:] = 0
+        parity[5, 3] = 1
+        payload = _random(gf, (k, width), seed=k + 1)
+        assert CodingPlan(gf, parity).kernel == "native-xor"
+        for coeffs in (dense, parity):
+            results = _all_tiers(gf, coeffs, payload)
+            for label, got in results.items():
+                assert np.array_equal(got, results["reference"]), label
+
+    def test_mixed_unit_coefficients(self):
+        # Coefficient-1 terms inside a general plan take the C XOR
+        # branch, fused with a following 1 or followed by table terms.
+        for gf in (GF256, GF65536):
+            coeffs = _random(gf, (5, 20), seed=7)
+            coeffs[np.random.default_rng(9).random(coeffs.shape) < 0.4] = 1
+            coeffs[0, :3] = [1, 0, 5]
+            coeffs[1, :3] = [1, 1, 0]
+            payload = _random(gf, (20, 9_001), seed=11)
+            plan = CodingPlan(gf, coeffs, kernel="native")
+            assert plan.kernel == "native"
+            assert np.array_equal(plan.apply(payload), mat_data_product_reference(gf, coeffs, payload))
 
     @pytest.mark.parametrize("tail", [1, 7, 31, 63, 4095, 4097])
     def test_ragged_tails_gf256(self, tail):
         # Stripe widths that are not multiples of the SIMD width, the
         # cache block, or the 64-byte alignment unit.
         gf = GF256
-        coeffs = _random(gf, (3, 50), seed=3) | 1
         payload = _random(gf, (50, 4096 + tail), seed=5)
-        plan = CodingPlan(gf, coeffs, kernel="native")
-        want = mat_data_product_reference(gf, coeffs, payload)
-        assert np.array_equal(plan.apply(payload), want)
+        for coeffs in (_random(gf, (3, 50), seed=3) | 1, _zero_one(gf, (3, 50), seed=tail)):
+            plan = CodingPlan(gf, coeffs, kernel="native")
+            want = mat_data_product_reference(gf, coeffs, payload)
+            assert np.array_equal(plan.apply(payload), want)
 
     def test_unaligned_views(self):
         # Non-contiguous rows take the copy/copy-back guard paths.
         gf = GF256
-        coeffs = _random(gf, (3, 50), seed=11) | 1
         backing = _random(gf, (50, 2 * LARGE), seed=13)
         payload = backing[:, ::2]
-        want = mat_data_product_reference(gf, np.asarray(coeffs), np.ascontiguousarray(payload))
-        plan = CodingPlan(gf, coeffs, kernel="native")
-        out_backing = np.zeros((3, 2 * LARGE), dtype=gf.dtype)
-        out = out_backing[:, ::2]
-        assert np.array_equal(plan.apply(payload, out=out), want)
-        assert np.array_equal(out, want)
+        for coeffs in (_random(gf, (3, 50), seed=11) | 1, _zero_one(gf, (3, 50), seed=11)):
+            want = mat_data_product_reference(gf, coeffs, np.ascontiguousarray(payload))
+            plan = CodingPlan(gf, coeffs, kernel="native")
+            out_backing = np.zeros((3, 2 * LARGE), dtype=gf.dtype)
+            out = out_backing[:, ::2]
+            assert np.array_equal(plan.apply(payload, out=out), want)
+            assert np.array_equal(out, want)
 
     def test_native_xor_schedule_gf256(self):
-        # Parity-shaped plans route through the C XOR-schedule executor.
+        # Parity-shaped plans run as XOR rows inside the C gather.
         gf = GF256
         coeffs = np.ones((2, 50), dtype=np.uint8)
         coeffs[1, ::2] = 0
         payload = _random(gf, (50, LARGE), seed=17)
-        plan = CodingPlan(gf, coeffs)  # auto: schedule wins for parities
+        plan = CodingPlan(gf, coeffs)  # auto: 0/1 plans run as XOR rows
         assert plan.kernel == "native-xor"
         want = mat_data_product_reference(gf, coeffs, payload)
         assert np.array_equal(plan.apply(payload), want)
 
-    @pytest.mark.parametrize("field,seed", [(GF256, 19), (GF65536, 23)])
-    def test_xor_exec_ladder_matches_numpy(self, field, seed):
-        # Drive the C executor directly on a schedule with doubling
-        # ladders (small non-0/1 coefficients), bypassing the cost model.
-        gf = field
-        coeffs = (_random(gf, (3, 8), seed=seed) % 6).astype(gf.dtype) + 1
-        schedule = XorSchedule.compile(gf, coeffs)
-        assert schedule.stats["ladder_steps"] > 0
-        payload = _random(gf, (8, 12_345), seed=seed + 1)
-        cols = np.arange(8)
-        rows = np.arange(3)
-        want = np.zeros((3, 12_345), dtype=gf.dtype)
-        schedule.execute(payload, cols, rows, want)
-        got = np.zeros_like(want)
-        schedule.execute_native(nat.get_backend(), payload, cols, rows, got)
-        assert np.array_equal(got, want)
-
     def test_single_block_reconstruct(self):
-        from repro.codes import ReedSolomonCode
+        from repro.codes import PyramidCode, ReedSolomonCode
 
-        code = ReedSolomonCode(50, 4)
-        data = _random(code.gf, (code.data_stripe_total, LARGE), seed=29)
-        blocks = code.encode(data)
-        target = 7
-        rp = code.repair_plan(target)
-        plan = code.compile_reconstruct(target, rp.helpers)
-        forced = CodingPlan(code.gf, plan.coeffs, kernel="native")
-        avail = {b: blocks[b] for b in range(code.n) if b != target}
-        rebuilt, _ = code.reconstruct(target, avail, rp)
-        assert np.array_equal(rebuilt, blocks[target])
-        # The reconstruct matrix itself is byte-exact through the native tier.
-        helpers_payload = np.concatenate([blocks[h] for h in rp.helpers], axis=0)
-        want = mat_data_product_reference(code.gf, plan.coeffs, helpers_payload)
-        assert np.array_equal(forced.apply(helpers_payload), want)
+        # A dense RS repair and a 0/1 Pyramid local repair.
+        for code, target in ((ReedSolomonCode(50, 4), 7), (PyramidCode(12, 3, 2), 5)):
+            data = _random(code.gf, (code.data_stripe_total, LARGE), seed=29)
+            blocks = code.encode(data)
+            rp = code.repair_plan(target)
+            plan = code.compile_reconstruct(target, rp.helpers)
+            avail = {b: blocks[b] for b in range(code.n) if b != target}
+            rebuilt, _ = code.reconstruct(target, avail, rp)
+            assert np.array_equal(rebuilt, blocks[target])
+            # The reconstruct matrix itself is byte-exact through every tier.
+            helpers_payload = np.concatenate([blocks[h] for h in rp.helpers], axis=0)
+            results = _all_tiers(code.gf, plan.coeffs, helpers_payload)
+            for label, got in results.items():
+                assert np.array_equal(got, results["reference"]), label
 
     def test_apply_batch_through_native(self):
         gf = GF256
-        coeffs = _random(gf, (4, 50), seed=31) | 1
-        plan = CodingPlan(gf, coeffs, kernel="native")
-        segs = [_random(gf, (50, w), seed=33 + w) for w in (8_000, 5_000, 12_000)]
-        outs = plan.apply_batch(segs)
-        for seg, got in zip(segs, outs):
-            assert np.array_equal(got, mat_data_product_reference(gf, coeffs, seg))
+        segs = [_random(gf, (50, w), seed=33 + w) for w in (8_000, 5_000, 12_001)]
+        for coeffs in (_random(gf, (4, 50), seed=31) | 1, _zero_one(gf, (4, 50), seed=31)):
+            plan = CodingPlan(gf, coeffs, kernel="native")
+            outs = plan.apply_batch(segs)
+            for seg, got in zip(segs, outs):
+                assert np.array_equal(got, mat_data_product_reference(gf, coeffs, seg))
 
 
 class TestPoolKnob:
-    def test_default_budget(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_KB", raising=False)
-        assert pool_budget_bytes() == 3 << 19
-
-    def test_valid_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_KB", "256")
-        assert pool_budget_bytes() == 256 << 10
-
-    @pytest.mark.parametrize("bad", ["sixty-four", "1.5", ""])
-    def test_non_integer_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_POOL_KB", bad)
-        if bad.strip():
-            with pytest.raises(GFError):
-                pool_budget_bytes()
-        else:
-            assert pool_budget_bytes() == 3 << 19  # empty means default
-
-    @pytest.mark.parametrize("bad", ["63", "0", "-1", str((1 << 20) + 1)])
-    def test_out_of_range_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_POOL_KB", bad)
-        with pytest.raises(GFError):
-            pool_budget_bytes()
-
     @needs_native
     def test_tiny_pool_still_byte_exact(self, monkeypatch):
-        # A 64 KiB budget forces many cache blocks per stripe on both
-        # native paths; results must not depend on the block geometry.
+        # A 64 KiB block budget forces many cache blocks per stripe on
+        # both native paths; results must not depend on the block geometry.
         gf = GF256
         dense = _random(gf, (4, 50), seed=37) | 1
         parity = np.ones((2, 50), dtype=np.uint8)
         payload = _random(gf, (50, LARGE), seed=41)
-        monkeypatch.setenv("REPRO_POOL_KB", "64")
+        monkeypatch.setattr(kernels_mod, "GATHER_CHUNK_WORDS", 64 << 7)
         for coeffs in (dense, parity):
             got = CodingPlan(gf, coeffs, kernel="native").apply(payload)
             want = mat_data_product_reference(gf, coeffs, payload)
@@ -277,7 +256,7 @@ class TestFallback:
         # kernel="table" / "xor" stay pure numpy even on a toolchain host,
         # so tier-vs-tier benchmarks measure what they claim to.
         gf = GF256
-        coeffs = _random(gf, (4, 50), seed=53) | 1
+        coeffs = _zero_one(gf, (4, 50), seed=53)
         payload = _random(gf, (50, LARGE), seed=59)
         for choice, label in (("table", "packed-full"), ("xor", "xor")):
             plan = CodingPlan(gf, coeffs, kernel=choice)
