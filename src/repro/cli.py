@@ -11,8 +11,9 @@ Brings the library to the shell the way a storage tool would be used:
   gateway (optionally with chaos and a Chrome-trace export).
 * ``figures`` — regenerate the paper's experiment tables.
 * ``stats``   — run a seeded striped workload (batched write, read,
-  server failure + bulk repair) and dump the coding-plan cache and
-  batched-pipeline counters as JSON.
+  server failure + bulk repair) and dump the coding-plan cache,
+  batched-pipeline counters, metric histograms and per-kernel profile
+  as JSON.
 
 The on-disk layout written by ``encode`` is one ``block_XXX.bin`` per
 coded block plus ``manifest.json`` holding the code parameters (including
@@ -389,12 +390,16 @@ def run_serving_stats(code_factory, clients: int = 64, seed: int = 0) -> dict:
 
 def cmd_stats(args, out=None) -> int:
     out = out or sys.stdout
-    result = run_striped_stats(
-        lambda: build_code(args),
-        groups=args.groups,
-        block_bytes=args.block_bytes,
-        seed=args.seed,
-    )
+    from repro.obs import profiled
+
+    with profiled() as profiler:
+        result = run_striped_stats(
+            lambda: build_code(args),
+            groups=args.groups,
+            block_bytes=args.block_bytes,
+            seed=args.seed,
+        )
+    result["kernel_profile"] = profiler.snapshot()
     print(json.dumps(result, indent=2), file=out)
     return 0
 
@@ -589,28 +594,6 @@ def cmd_trace(args, out=None) -> int:
     return 0
 
 
-def cmd_metrics(args, out=None) -> int:
-    out = out or sys.stdout
-    from repro.obs import profiled
-
-    with profiled() as profiler:
-        result = run_striped_stats(
-            lambda: build_code(args),
-            groups=args.groups,
-            block_bytes=args.block_bytes,
-            seed=args.seed,
-        )
-    payload = {
-        "code": result["code"],
-        "metrics": result["metrics_all"],
-        "plan_cache": result["plan_cache"],
-        "kernel_profile": profiler.snapshot(),
-        "derived": result["derived"],
-    }
-    print(json.dumps(payload, indent=2), file=out)
-    return 0
-
-
 FIGURES = {
     "fig1": "fig1_locality",
     "fig2": "fig2_parallelism",
@@ -749,7 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="workload seed")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("stats", help="batched-pipeline and plan-cache stats for a seeded workload")
+    p = sub.add_parser(
+        "stats", help="pipeline, plan-cache, metric and kernel-profile stats for a seeded workload"
+    )
     _add_code_args(p)
     p.add_argument("--groups", type=int, default=16, help="stripe groups to write (default 16)")
     p.add_argument("--block-bytes", type=int, default=4096, help="block size cap (default 4096)")
@@ -767,13 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-bytes", type=int, default=4096, help="block size cap (default 4096)")
     p.add_argument("--seed", type=int, default=0, help="payload RNG seed")
     p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("metrics", help="histograms, gauges, and kernel profile for a seeded workload")
-    _add_code_args(p)
-    p.add_argument("--groups", type=int, default=16, help="stripe groups to write (default 16)")
-    p.add_argument("--block-bytes", type=int, default=4096, help="block size cap (default 4096)")
-    p.add_argument("--seed", type=int, default=0, help="payload RNG seed")
-    p.set_defaults(func=cmd_metrics)
 
     return parser
 

@@ -5,12 +5,12 @@ if they survive more than clean fail-stop crashes.  This package models
 the rest of the failure spectrum — transient read errors, latency spikes,
 slow disks, gray up-but-slow servers, silent corruption — as seeded,
 composable components (:mod:`repro.faults.model`), provides the virtual
-clocks the retry/backoff machinery runs on (:mod:`repro.faults.clock`),
+clock the retry/backoff machinery runs on (:mod:`repro.faults.clock`),
 and generates whole chaos scenarios mixing crash traces with transient
 faults (:mod:`repro.faults.schedule`).
 """
 
-from repro.faults.clock import SimClock, VirtualClock
+from repro.faults.clock import VirtualClock
 from repro.faults.model import (
     CLEAN,
     FaultComponent,
@@ -31,7 +31,6 @@ from repro.faults.schedule import (
 )
 
 __all__ = [
-    "SimClock",
     "VirtualClock",
     "CLEAN",
     "FaultComponent",

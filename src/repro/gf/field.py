@@ -7,8 +7,8 @@ primitive polynomial) is a single switch.
 
 Addition in GF(2^q) is XOR; the interesting operations are multiplication,
 division and exponentiation, implemented through discrete logs.  For q <= 8
-a full multiplication table additionally accelerates the vector kernels in
-:mod:`repro.gf.vector`.
+a full multiplication table additionally accelerates the table kernels in
+:mod:`repro.gf.kernels`.
 """
 
 from __future__ import annotations

@@ -330,11 +330,11 @@ class CodingPlan:
             return "native-xor" if self._xor else "native"
         if self._xor:
             return "xor"
+        # Supported fields are GF(2^2/4/8/16): only GF(2^16) can outgrow
+        # the full product tables.
         if self.gf.size <= 256 or self._dense_cols.size * self._groups <= FULL_TABLE_LIMIT:
             return "packed-full"
-        if self.gf.q == 16:
-            return "packed-split"
-        return "direct"  # pragma: no cover - no such field is configured
+        return "packed-split"
 
     def _build_tables(self) -> None:
         lanes, groups = self._lanes, self._groups
@@ -355,7 +355,7 @@ class CodingPlan:
                 rows = _outer_mul(self.gf, uniq, np.arange(self.gf.size, dtype=np.int64))
                 tabs = rows[inv.reshape(padded.shape)]
             self._packed = _pack_lanes(tabs, groups, lanes)
-        elif kind == "packed-split":
+        else:
             lo, hi = split_product_tables(self.gf, padded.reshape(-1))
             self._packed_lo = _pack_lanes(lo.reshape(*padded.shape, 256), groups, lanes)
             self._packed_hi = _pack_lanes(hi.reshape(*padded.shape, 256), groups, lanes)

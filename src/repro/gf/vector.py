@@ -1,10 +1,10 @@
-"""Vectorized GF(2^q) kernels used by the coding hot paths.
+"""Symbol-vector helpers: axpy, dot, and byte <-> symbol conversion.
 
-These are the Python/numpy equivalents of the ISA-L kernels the paper's C++
-implementation uses: scalar-times-vector, axpy accumulation, and the
-matrix-times-data product that implements encoding, decoding and
-reconstruction.  Data buffers are numpy arrays whose dtype matches the
-field's symbol width (uint8 for GF(2^8)).
+``axpy`` (the GF multiply-accumulate) backs the reference row-loop kernel
+:func:`~repro.gf.kernels.mat_data_product_reference`; the matrix-times-data
+product the coding hot paths run is :mod:`repro.gf.kernels`.  Data buffers
+are numpy arrays whose dtype matches the field's symbol width (uint8 for
+GF(2^8)).
 """
 
 from __future__ import annotations
@@ -12,11 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gf.field import GF, GF256, GFError
-
-
-def scal(gf: GF, c: int, v: np.ndarray) -> np.ndarray:
-    """Return ``c * v`` over the field (new array)."""
-    return gf.scalar_mul_array(c, v)
 
 
 def axpy(gf: GF, c: int, x: np.ndarray, y: np.ndarray) -> None:
@@ -43,38 +38,6 @@ def dot(gf: GF, a: np.ndarray, b: np.ndarray) -> int:
         raise GFError(f"dot requires equal-length 1-D vectors, got {a.shape} and {b.shape}")
     prod = gf.mul_arrays(a, b)
     return int(np.bitwise_xor.reduce(prod)) if prod.size else 0
-
-
-def mat_data_product(gf: GF, coeffs: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Compute ``coeffs @ data`` over GF, the universal coding kernel.
-
-    Args:
-        gf: the arithmetic context.
-        coeffs: ``(m, n)`` matrix of field symbols (the generator / decoding
-            matrix, or a slice of it).
-        data: ``(n, S)`` array whose rows are stripes of payload symbols.
-
-    Returns:
-        ``(m, S)`` array of ``gf.dtype``: each output row is the GF-linear
-        combination of the data rows given by the corresponding coefficient
-        row.
-
-    This delegates to the batched gather kernels of :mod:`repro.gf.kernels`
-    (full-table gathers for q <= 8, split tables for GF(2^16)); callers
-    that reuse one matrix should compile a
-    :class:`~repro.gf.kernels.CodingPlan` instead.
-    """
-    from repro.gf.kernels import mat_data_product as _batched
-
-    return _batched(gf, coeffs, data)
-
-
-def xor_rows(rows: np.ndarray) -> np.ndarray:
-    """XOR-fold a stack of stripe rows (the parity kernel for XOR codes)."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise GFError("xor_rows expects a 2-D stack of rows")
-    return np.bitwise_xor.reduce(rows, axis=0)
 
 
 def random_symbols(gf: GF, shape, seed: int | None = None) -> np.ndarray:

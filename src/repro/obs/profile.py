@@ -11,7 +11,7 @@ seconds, and bytes touched (payload + output) — whenever the profiler
 is enabled.
 
 Disabled (the default), the hot path pays a single attribute check.
-``repro metrics`` enables it around a seeded workload and dumps the
+``repro stats`` enables it around a seeded workload and dumps the
 aggregate; tests use :func:`profiled` for scoped capture.
 """
 

@@ -41,6 +41,7 @@ from repro.analysis.reliability import HOURS_PER_YEAR
 from repro.cluster.placement import PlacementPolicy
 from repro.cluster.topology import Cluster
 from repro.codes.base import DecodingError, ErasureCode, RepairPlan
+from repro.faults.clock import VirtualClock
 from repro.reliability.lifetime import LifetimeModel
 from repro.sim.engine import Simulation
 from repro.storage.metrics import MetricsRegistry
@@ -220,23 +221,6 @@ class ReliabilityResult:
         }
 
 
-class _LeaseClock:
-    """Adapter clock for the storage admission controller.
-
-    The controller "waits" by advancing its clock to the earliest lease
-    expiry; inside an event-driven simulation that wait must not move
-    simulated time, only compute the *grant* instant.  The simulator
-    pins ``now`` to the current event time (in seconds) before each
-    acquire and reads the post-acquire ``now`` back as the grant.
-    """
-
-    def __init__(self):
-        self.now = 0.0
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
-
-
 @dataclass
 class _ServerState:
     rack: int
@@ -298,7 +282,12 @@ class _Trial:
 
         self.sim = Simulation()
         self.horizon = config.horizon_years * HOURS_PER_YEAR
-        self._lease_clock = _LeaseClock()
+        # The admission controller "waits" by advancing its clock to the
+        # earliest lease expiry.  Here that wait must not move simulated
+        # time, only compute the grant instant: the clock is pinned to the
+        # current event time (in seconds) before each acquire, and the
+        # post-acquire ``now`` is the grant.
+        self._lease_clock = VirtualClock()
         self.controller = RepairAdmissionController(
             self._lease_clock, config.max_inflight_per_server, metrics=metrics
         )
@@ -451,7 +440,7 @@ class _Trial:
         leases = dict(read_seconds)
         leases[target_sid] = max(leases.get(target_sid, 0.0), duration_s)
 
-        self._lease_clock.now = self.sim.now * SECONDS_PER_HOUR
+        self._lease_clock.pin(self.sim.now * SECONDS_PER_HOUR)
         grant_s = self.controller.acquire(leases)
         done_h = (grant_s + duration_s) / SECONDS_PER_HOUR
         self.inflight += 1
@@ -631,7 +620,7 @@ class _Trial:
             if not state.available or not blocks:
                 continue
             scan_s = len(blocks) * self.cfg.block_size_bytes / self.cfg.scrub_bandwidth
-            self._lease_clock.now = self.sim.now * SECONDS_PER_HOUR
+            self._lease_clock.pin(self.sim.now * SECONDS_PER_HOUR)
             grant_s = self.controller.acquire({sid: scan_s})
             done_h = (grant_s + scan_s) / SECONDS_PER_HOUR
             epoch = state.epoch

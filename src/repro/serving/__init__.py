@@ -7,11 +7,14 @@ which code keeps the latency tail flat?  The gateway composes the
 storage stack's existing resilience machinery — resilient client,
 repair plans, token leases — with the three classic serving-side
 defenses (admission-filtered caching, request coalescing, hedging).
+Disk service times are measured on a :class:`~repro.faults.clock.VirtualClock`
+pinned to each read's sim-time start and replayed on the
+:class:`~repro.sim.aio.SimLoop` timeline.
 """
 
 from repro.serving.cache import FrequencySketch, HotBlockCache
 from repro.serving.coalesce import RequestCoalescer
-from repro.serving.gateway import GatewayConfig, ScratchClock, ServingError, ServingGateway
+from repro.serving.gateway import GatewayConfig, ServingError, ServingGateway
 from repro.serving.qos import TenantLease, TenantThrottle
 from repro.serving.workload import (
     FlashCrowd,
@@ -27,7 +30,6 @@ __all__ = [
     "HotBlockCache",
     "RequestCoalescer",
     "GatewayConfig",
-    "ScratchClock",
     "ServingError",
     "ServingGateway",
     "TenantLease",

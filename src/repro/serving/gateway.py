@@ -25,9 +25,10 @@ holder's disk for its (fault-inflated) service time, so queueing delay
 assumed.  The actual byte transfer still goes through the
 :class:`~repro.storage.resilient.ResilientBlockClient` (checksums,
 retries, timeouts, same-path hedging), promoted from the repair layer
-into the serving path; its service time is measured on a scratch clock
-pinned to the request's sim-time start and replayed as pipe occupancy
-on the simulation timeline.
+into the serving path; its service time is measured on a
+:class:`~repro.faults.clock.VirtualClock` pinned to the request's
+sim-time start and replayed as pipe occupancy on the simulation
+timeline.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.codes.base import DecodingError
+from repro.faults.clock import VirtualClock
 from repro.obs.trace import get_tracer
 from repro.serving.cache import HotBlockCache
 from repro.serving.coalesce import RequestCoalescer
@@ -52,29 +54,6 @@ from repro.storage.resilient import ResilientBlockClient, RetryPolicy
 
 class ServingError(FileSystemError):
     """A request the gateway could not serve (unrecoverable extent)."""
-
-
-class ScratchClock:
-    """A settable virtual clock for measuring one read's service time.
-
-    Unlike :class:`~repro.faults.clock.VirtualClock` it can be *pinned*
-    to an arbitrary instant: before each disk read the gateway sets it
-    to the read's sim-time start, so time-windowed fault components
-    (gray slowdowns, latency storms) fire against the serving timeline,
-    and the resilient client's backoff/timeout arithmetic measures the
-    read's service duration in place.
-    """
-
-    def __init__(self, start: float = 0.0):
-        self.now = float(start)
-
-    def pin(self, instant: float) -> None:
-        self.now = float(instant)
-
-    def advance(self, dt: float) -> float:
-        if dt > 0:
-            self.now += dt
-        return self.now
 
 
 @dataclass(frozen=True)
@@ -145,7 +124,7 @@ class ServingGateway:
         # pinned to each read's sim-time start: service durations are
         # *measured* there (including retries, backoff and same-path
         # hedges) and replayed as disk occupancy on the sim timeline.
-        self._scratch = ScratchClock()
+        self._scratch = VirtualClock()
         self.client = ResilientBlockClient(
             dfs.store,
             health=HealthMonitor(self._scratch, metrics=self.metrics),

@@ -23,14 +23,6 @@ Three batched primitives mirror the per-group operations:
 Ragged tails are first-class: segments of different stripe widths mix
 freely in one batch (columns concatenate regardless of per-group S), so
 the final short group of a file rides in the same kernel call.
-
-For files too large for one in-process batch, :class:`ParallelBatchEncoder`
-is an **opt-in** ``ProcessPoolExecutor`` + ``multiprocessing.shared_memory``
-tier: the stacked payload is placed in shared memory once, workers each
-compile the code's encode plan in their own interpreter and produce
-disjoint column spans of the output, and the parent never pickles payload
-bytes.  It pays off only when the arithmetic dominates the fork/IPC cost
-(hundreds of MB); below that the in-process batch wins.
 """
 
 from __future__ import annotations
@@ -145,146 +137,3 @@ def batch_reconstruct(
         outs = compiled.apply_batch(segments)
     _count_batch(metrics, len(segments))
     return outs
-
-
-# --------------------------------------------------------- process-pool tier
-
-
-def _pool_init(code_factory) -> None:  # pragma: no cover - runs in workers
-    """Build the worker's private code instance (and its compiled plan)."""
-    global _POOL_CODE
-    _POOL_CODE = code_factory()
-
-
-def _pool_encode_span(args):  # pragma: no cover - runs in workers
-    """Encode one column span of the shared input into the shared output."""
-    from multiprocessing import shared_memory
-
-    in_name, out_name, dtype_str, total, rows_out, width, lo, hi = args
-    code = _POOL_CODE
-    shm_in = shared_memory.SharedMemory(name=in_name)
-    shm_out = shared_memory.SharedMemory(name=out_name)
-    try:
-        dtype = np.dtype(dtype_str)
-        data = np.ndarray((total, width), dtype=dtype, buffer=shm_in.buf)
-        out = np.ndarray((rows_out, width), dtype=dtype, buffer=shm_out.buf)
-        # Compute into a contiguous scratch (the gather kernel's chunking
-        # assumes contiguous operands) and publish the span in one memcpy.
-        span = code.compile_encode().apply(np.ascontiguousarray(data[:, lo:hi]))
-        out[:, lo:hi] = span
-    finally:
-        shm_in.close()
-        shm_out.close()
-    return lo, hi
-
-
-class ParallelBatchEncoder:
-    """Opt-in shared-memory process pool for very large batched encodes.
-
-    Args:
-        code_factory: zero-argument, *picklable* callable building the
-            code (a module-level function; lambdas will not cross the
-            process boundary).
-        workers: pool size (default 2).
-
-    The pool is lazy: no processes are forked until the first
-    :meth:`encode`.  Use as a context manager, or call :meth:`close`.
-    Any failure to set up shared memory or the pool falls back to the
-    in-process :func:`batch_encode` — the tier is an accelerator, never a
-    requirement.
-    """
-
-    def __init__(self, code_factory, workers: int = 2):
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.code_factory = code_factory
-        self.workers = workers
-        self.code: ErasureCode = code_factory()
-        self._pool = None
-
-    def __enter__(self) -> ParallelBatchEncoder:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_pool_init,
-                initargs=(self.code_factory,),
-            )
-        return self._pool
-
-    def encode(self, grids, metrics: MetricsRegistry | None = None) -> list[np.ndarray]:
-        """Encode stripe grids across the pool; same contract as :func:`batch_encode`.
-
-        Column spans are split on group boundaries so every group's
-        output is produced by exactly one worker.
-        """
-        grids = [np.asarray(g) for g in grids]
-        if len(grids) < 2 * self.workers:
-            return batch_encode(self.code, grids, metrics=metrics)
-        try:
-            return self._encode_shared(grids, metrics)
-        except (ImportError, OSError, ValueError):
-            # No shared memory / pool on this platform: stay in-process.
-            return batch_encode(self.code, grids, metrics=metrics)
-
-    def _encode_shared(self, grids, metrics: MetricsRegistry | None) -> list[np.ndarray]:
-        from multiprocessing import shared_memory
-
-        code = self.code
-        total = code.data_stripe_total
-        dtype = code.gf.dtype
-        widths = [g.shape[1] for g in grids]
-        width = sum(widths)
-        rows_out = code.n * code.N
-        shm_in = shared_memory.SharedMemory(create=True, size=max(1, total * width * dtype.itemsize))
-        shm_out = shared_memory.SharedMemory(
-            create=True, size=max(1, rows_out * width * dtype.itemsize)
-        )
-        try:
-            data = np.ndarray((total, width), dtype=dtype, buffer=shm_in.buf)
-            off = 0
-            for g in grids:
-                data[:, off : off + g.shape[1]] = g
-                off += g.shape[1]
-            # Split columns into per-worker spans on group boundaries.
-            bounds = np.cumsum([0] + widths)
-            per_worker = -(-len(grids) // self.workers)
-            spans = [
-                (int(bounds[i]), int(bounds[min(i + per_worker, len(grids))]))
-                for i in range(0, len(grids), per_worker)
-            ]
-            pool = self._ensure_pool()
-            jobs = [
-                (shm_in.name, shm_out.name, dtype.str, total, rows_out, width, lo, hi)
-                for lo, hi in spans
-                if hi > lo
-            ]
-            list(pool.map(_pool_encode_span, jobs))
-            out = np.ndarray((rows_out, width), dtype=dtype, buffer=shm_out.buf)
-            if metrics is not None:
-                metrics.add("batch_applies", len(jobs))
-                metrics.add("batch_groups", len(grids))
-            results = []
-            off = 0
-            for w in widths:
-                # Copy out of the shared segment before it is unlinked.
-                results.append(np.array(out[:, off : off + w]).reshape(code.n, code.N, w))
-                off += w
-            return results
-        finally:
-            shm_in.close()
-            shm_in.unlink()
-            shm_out.close()
-            shm_out.unlink()

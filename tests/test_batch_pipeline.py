@@ -23,7 +23,6 @@ from repro.storage import (
     StripedFileSystem,
     pipeline,
 )
-from repro.storage.pipeline import ParallelBatchEncoder
 from repro.storage.striped import group_name
 from tests.conftest import payload_bytes
 
@@ -33,11 +32,6 @@ CODES = [
     ("galloper", lambda: GalloperCode(4, 2, 1)),
 ]
 IDS = [c[0] for c in CODES]
-
-
-def rs42_factory():
-    """Module-level (picklable) factory for the process-pool tier."""
-    return ReedSolomonCode(4, 2)
 
 
 def make_grids(code, widths, seed=3):
@@ -232,36 +226,6 @@ class TestBulkRepair:
         report = RepairManager(dfs).repair_server(victim, batch=True)
         assert report.blocks_rebuilt > 0
         assert sfs.read_file("f") == payload
-
-
-# ------------------------------------------------------- process-pool tier
-
-
-class TestParallelBatchEncoder:
-    def test_matches_in_process_batch(self):
-        code = rs42_factory()
-        grids = make_grids(code, [32] * 8, seed=21)
-        expected = pipeline.batch_encode(code, grids)
-        with ParallelBatchEncoder(rs42_factory, workers=2) as enc:
-            got = enc.encode(grids)
-        assert len(got) == len(expected)
-        for a, b in zip(expected, got):
-            assert np.array_equal(a, b)
-
-    def test_small_batches_stay_in_process(self):
-        code = rs42_factory()
-        grids = make_grids(code, [16], seed=22)
-        enc = ParallelBatchEncoder(rs42_factory, workers=4)
-        try:
-            got = enc.encode(grids)
-            assert enc._pool is None  # never forked
-            assert np.array_equal(got[0], code.encode(grids[0]))
-        finally:
-            enc.close()
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            ParallelBatchEncoder(rs42_factory, workers=0)
 
 
 # --------------------------------------------------------------- scrubbing

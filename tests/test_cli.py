@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import io
 import json
 
 import numpy as np
@@ -161,7 +160,7 @@ class TestStatsSchema:
 
     TOP_KEYS = {"code", "groups", "payload_bytes", "blocks_rebuilt",
                 "plan_cache", "kernel_selection", "kernel_bytes", "metrics",
-                "metrics_all", "serving", "derived"}
+                "metrics_all", "serving", "derived", "kernel_profile"}
 
     def _stats(self, capsys, *code_args):
         assert run("stats", "--groups", 4, "--block-bytes", 2048, *code_args) == 0

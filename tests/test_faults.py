@@ -19,6 +19,20 @@ from repro.storage import DistributedFileSystem, TransientReadError
 from tests.conftest import payload_bytes
 
 
+class TestVirtualClock:
+    def test_pin_advance_and_negative_advance(self):
+        clock = VirtualClock()
+        assert clock.now == 0.0
+        clock.pin(5.0)
+        assert clock.now == 5.0
+        assert clock.advance(0.25) == 5.25
+        assert clock.now == 5.25
+        assert clock.advance(-1.0) == 5.25  # negative advances are ignored
+        assert clock.now == 5.25
+        clock.pin(1.0)  # pinning may move time backwards
+        assert clock.now == 1.0
+
+
 class TestDecisions:
     def test_merge_combines_all_dimensions(self):
         a = FaultDecision(error=True, extra_latency=0.1)

@@ -12,18 +12,11 @@ from repro.gf import (
     dot,
     mat_data_product,
     random_symbols,
-    scal,
     symbols_to_bytes,
-    xor_rows,
 )
 
 
 class TestScalAxpy:
-    def test_scal_zero_and_one(self, gf):
-        v = random_symbols(gf, 64, seed=1)
-        assert not scal(gf, 0, v).any()
-        assert np.array_equal(scal(gf, 1, v), v)
-
     def test_axpy_accumulates(self, gf):
         x = random_symbols(gf, 32, seed=2)
         y = random_symbols(gf, 32, seed=3)
@@ -109,17 +102,6 @@ class TestMatDataProduct:
         lhs = mat_data_product(gf, coeffs, a ^ b)
         rhs = mat_data_product(gf, coeffs, a) ^ mat_data_product(gf, coeffs, b)
         assert np.array_equal(lhs, rhs)
-
-
-class TestXorRows:
-    def test_xor_rows(self, gf):
-        rows = random_symbols(gf, (4, 10), seed=17)
-        expect = rows[0] ^ rows[1] ^ rows[2] ^ rows[3]
-        assert np.array_equal(xor_rows(rows), expect)
-
-    def test_xor_rows_requires_2d(self, gf):
-        with pytest.raises(GFError):
-            xor_rows(np.zeros(4, dtype=np.uint8))
 
 
 class TestByteMapping:

@@ -503,12 +503,12 @@ class TestTraceCLI:
         assert all(e["pid"] == Tracer.SIM_PID for e in maps)
         assert any(e["ph"] == "M" and e["name"] == "thread_name" for e in events)
 
-    def test_metrics_cli_schema(self, capsys):
-        assert main(["metrics", "--groups", "4", "--block-bytes", "2048"]) == 0
+    def test_stats_cli_kernel_profile(self, capsys):
+        assert main(["stats", "--groups", "4", "--block-bytes", "2048"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"code", "metrics", "plan_cache", "kernel_profile", "derived"}
-        assert set(payload["metrics"]) == {"counters", "histograms", "gauges"}
-        assert "plan_cache_hit_ratio" in payload["metrics"]["gauges"]
+        assert {"code", "metrics_all", "plan_cache", "kernel_profile", "derived"} <= set(payload)
+        assert set(payload["metrics_all"]) == {"counters", "histograms", "gauges"}
+        assert "plan_cache_hit_ratio" in payload["metrics_all"]["gauges"]
         assert payload["kernel_profile"], "profiler captured no kernels"
         for entry in payload["kernel_profile"].values():
             assert {"calls", "seconds", "bytes", "mb_per_s"} == set(entry)

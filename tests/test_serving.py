@@ -21,7 +21,6 @@ from repro.serving import (
     GatewayConfig,
     HotBlockCache,
     RequestCoalescer,
-    ScratchClock,
     ServingError,
     ServingGateway,
     TenantThrottle,
@@ -218,17 +217,6 @@ class TestTenantThrottle:
 
 
 # ------------------------------------------------------------------ gateway
-
-
-class TestScratchClock:
-    def test_pin_and_advance(self):
-        clock = ScratchClock()
-        clock.pin(5.0)
-        assert clock.now == 5.0
-        clock.advance(0.25)
-        assert clock.now == 5.25
-        clock.advance(-1.0)  # negative advances are ignored
-        assert clock.now == 5.25
 
 
 class TestGatewayReads:
